@@ -20,7 +20,8 @@ setup(
         "console_scripts": [
             # The AST invariant checker (see repro.analysis.static): lints
             # the repo-specific contracts — RNG-DISCIPLINE,
-            # DTYPE-DISCIPLINE, PICKLE-FREE-IO, HOGWILD-SAFETY, SLOW-MARKER.
+            # DTYPE-DISCIPLINE, PICKLE-FREE-IO, HOGWILD-SAFETY, SLOW-MARKER,
+            # ATOMIC-IO.
             "repro-lint=repro.analysis.static.cli:main",
         ],
     },

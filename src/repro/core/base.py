@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.data.dataset import ImplicitFeedbackDataset
 from repro.data.interactions import InteractionMatrix
-from repro.serving.kernel import RECOMMEND_ELEMENT_BUDGET, broadcast_candidates, run_query
+from repro.serving.kernel import RECOMMEND_ELEMENT_BUDGET, run_query
 from repro.serving.query import Query, QueryResult
 from repro.utils.io import load_arrays, save_arrays
 
@@ -114,11 +114,6 @@ class BaseRecommender:
     def score_all_items(self, user: int) -> np.ndarray:
         """Scores of every item for ``user``."""
         return self.score_items(user, np.arange(self._catalogue_size()))
-
-    @staticmethod
-    def _broadcast_candidates(users: np.ndarray, item_matrix: np.ndarray) -> np.ndarray:
-        """Normalise ``item_matrix`` to shape ``(len(users), C)``."""
-        return broadcast_candidates(users, item_matrix)
 
     def _score_candidates(self, users: np.ndarray,
                           item_matrix: np.ndarray) -> np.ndarray:

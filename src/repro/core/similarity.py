@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.autograd import Tensor
 from repro.autograd import functional as F
+from repro.serving.kernel import is_full_catalogue
 
 
 # --------------------------------------------------------------------------- #
@@ -218,6 +219,9 @@ def facet_candidate_scores(user_facets: np.ndarray, item_facets: np.ndarray,
     inverse:
         ``(U, C)`` map from candidate-matrix positions into the unique pool
         (the ``return_inverse`` of ``np.unique`` over the candidate matrix).
+        The full-catalogue broadcast ``arange(M)`` (see
+        :func:`~repro.serving.kernel.is_full_catalogue`) is the identity
+        map: the all-pairs block is the answer and no gather runs.
     facet_weights:
         Softmax-normalised weights Θ_u of the batch, shape ``(U, K)``.
     spherical:
@@ -234,8 +238,10 @@ def facet_candidate_scores(user_facets: np.ndarray, item_facets: np.ndarray,
     if n_unique <= ALL_PAIRS_CANDIDATE_RATIO * width:
         # Dense candidate union (evaluation over a small catalogue,
         # recommend over all items): one BLAS matmul per facet against
-        # the unique-item cache, then a single (u, C) gather.  Chunk
-        # over users so the (K, chunk, M) block stays memory-bounded.
+        # the unique-item cache, then a single (u, C) gather — skipped
+        # when the pool is the candidate row itself.  Chunk over users
+        # so the (K, chunk, M) block stays memory-bounded.
+        identity = is_full_catalogue(inverse, n_unique)
         chunk = max(1, BATCH_SCORING_ELEMENT_BUDGET // max(1, n_facets * n_unique))
         for start in range(0, n_users, chunk):
             stop = min(start + chunk, n_users)
@@ -243,7 +249,7 @@ def facet_candidate_scores(user_facets: np.ndarray, item_facets: np.ndarray,
                 user_facets[:, start:stop], item_facets,
                 facet_weights[start:stop], spherical,
             )                                                    # (u, M)
-            scores[start:stop] = np.take_along_axis(
+            scores[start:stop] = weighted if identity else np.take_along_axis(
                 weighted, inverse[start:stop], axis=1
             )
     else:

@@ -50,6 +50,22 @@ def broadcast_candidates(users: np.ndarray, item_matrix: np.ndarray) -> np.ndarr
     return item_matrix
 
 
+def is_full_catalogue(item_matrix: np.ndarray, n_items: int) -> bool:
+    """Whether ``item_matrix`` ranks every user against all ``n_items``.
+
+    True for the stride-0 ``arange(n_items)`` broadcast that the
+    full-catalogue path hands its scorer (or any equal stride-0 matrix).
+    Such a matrix is its own ``np.unique`` inverse, so a scorer can score
+    the stored ``(n_items, ·)`` table as it is, with no unique pass, no
+    table gather and no gather back.
+    """
+    return (item_matrix.ndim == 2 and item_matrix.shape[0] >= 1
+            and item_matrix.strides[0] == 0
+            and item_matrix.shape[1] == n_items
+            and np.array_equal(item_matrix[0],
+                               np.arange(n_items, dtype=np.int64)))
+
+
 def mask_seen_rows(scores: np.ndarray, users: np.ndarray,
                    indptr: np.ndarray, indices: np.ndarray) -> None:
     """Set ``scores[i, j] = -inf`` for every item ``j`` seen by ``users[i]``.

@@ -36,6 +36,8 @@ from typing import Callable, Dict
 
 import numpy as np
 
+from repro.serving.kernel import is_full_catalogue
+
 #: ``family -> fn(tensors, users, item_matrix) -> (U, C) scores``.
 SCORER_FAMILIES: Dict[str, Callable] = {}
 
@@ -75,6 +77,18 @@ def _shared_candidate_row(item_matrix: np.ndarray):
     return None
 
 
+def _whole_table(table: np.ndarray, item_matrix: np.ndarray,
+                 item_axis: int) -> bool:
+    """Whether a full-catalogue batch can multiply against ``table`` as is.
+
+    An unaligned table (a memory map of a bundle written before raw members
+    were 64-byte aligned) would drop NumPy's ``matmul`` off BLAS, so it is
+    gathered into an aligned copy as for any candidate list.
+    """
+    return (table.flags.aligned
+            and is_full_catalogue(item_matrix, table.shape[item_axis]))
+
+
 def euclidean_scores(user_table: np.ndarray, item_table: np.ndarray,
                      users: np.ndarray, item_matrix: np.ndarray) -> np.ndarray:
     """``-‖u − v‖²`` between gathered embedding rows (CML, MetricF, SML).
@@ -84,12 +98,14 @@ def euclidean_scores(user_table: np.ndarray, item_table: np.ndarray,
     ``-‖u − v‖² = 2·u·v − ‖u‖² − ‖v‖²`` — one BLAS matmul instead of a
     ``(U, C, D)`` gather — which agrees with the elementwise difference
     form up to floating-point rounding (~1 ulp), leaving rankings unchanged
-    except on exact score ties.
+    except on exact score ties.  A full-catalogue batch multiplies against
+    the stored item table itself rather than a gathered copy of it.
     """
     user_vecs = user_table[users]                   # (U, D)
     shared = _shared_candidate_row(item_matrix)
     if shared is not None:
-        item_vecs = item_table[shared]              # (C, D)
+        item_vecs = (item_table if _whole_table(item_table, item_matrix, 0)
+                     else item_table[shared])      # (C, D)
         dots = user_vecs @ item_vecs.T              # (U, C)
         user_sq = np.einsum("ud,ud->u", user_vecs, user_vecs)
         item_sq = np.einsum("cd,cd->c", item_vecs, item_vecs)
@@ -183,11 +199,16 @@ def _multifacet(tensors, users, item_matrix):
     # `repro.core` (core.base imports the serving kernel at module load).
     from repro.core.similarity import facet_candidate_scores
 
-    unique_items, inverse = np.unique(item_matrix, return_inverse=True)
-    inverse = inverse.reshape(item_matrix.shape)
+    item_facets = tensors["item_facets"]
+    if _whole_table(item_facets, item_matrix, 1):
+        inverse = item_matrix  # the stored table is the unique pool, in order
+    else:
+        unique_items, inverse = np.unique(item_matrix, return_inverse=True)
+        inverse = inverse.reshape(item_matrix.shape)
+        item_facets = item_facets[:, unique_items]
     return facet_candidate_scores(
         tensors["user_facets"][:, users],
-        tensors["item_facets"][:, unique_items],
+        item_facets,
         inverse,
         tensors["facet_weights"][users],
         bool(tensors["spherical"]),

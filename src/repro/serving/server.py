@@ -48,8 +48,12 @@ Worker lifecycle
 ----------------
 1. **Spawn** — the parent forks ``n_workers`` processes *before* starting
    the event-loop thread, hands each a ``{name: (artifact_path,
-   version)}`` table over its pipe, and waits for a ``ready`` frame
-   confirming the artifacts loaded (and whether they memory-mapped).
+   version)}`` table and its BLAS pool size — its share of the CPUs the
+   server may run on, ``max(1, cpus // n_workers)`` — and waits for a
+   ``ready`` frame confirming the artifacts loaded (and whether they
+   memory-mapped).  Sized this way, the workers' OpenBLAS pools do not
+   spin on each other's CPUs; ``OPENBLAS_NUM_THREADS`` overrides it (see
+   :mod:`repro.serving.worker`).  Respawned workers get the same size.
 2. **Serve** — idle workers sit in an in-loop queue.  Each admitted query
    frame is relayed verbatim to one worker (exclusive ownership from
    acquisition to release, so pipes never interleave) and the worker's
@@ -72,9 +76,10 @@ Worker lifecycle
    so it is not mid-request), sent a ``reload`` frame pointing at the new
    artifact path, and re-admitted once it answers ``ready``.  Traffic
    keeps flowing through the not-yet-swapped workers; no request fails.
-6. **Shutdown** — :meth:`stop` closes the listener, stops the loop, asks
-   each worker to exit with a ``shutdown`` frame and terminates any that
-   linger.
+6. **Shutdown** — :meth:`stop` closes the listener, cancels the open
+   connection handlers (an idle connection ends quietly, with no
+   traceback), stops the loop, asks each worker to exit with a
+   ``shutdown`` frame and terminates any that linger.
 
 The fault-injection site ``serving.worker`` fires in the worker before
 each query (``REPRO_FAULTS`` is inherited through the fork), so delays
@@ -85,6 +90,7 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -263,7 +269,8 @@ class RecommenderServer:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=worker_main,
-            args=(child_conn, dict(self._table), worker_id),
+            args=(child_conn, dict(self._table), worker_id,
+                  max(1, len(os.sched_getaffinity(0)) // self.n_workers)),
             name=f"serving-worker-{worker_id}", daemon=True)
         process.start()
         child_conn.close()
@@ -395,7 +402,9 @@ class RecommenderServer:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except (ConnectionError, OSError, asyncio.CancelledError):
+                # A shutdown cancel can land here too; ending the handler
+                # cancelled would make asyncio log a traceback for it.
                 pass
 
     async def _handle_frame(self, blob: bytes) -> bytes:
@@ -425,6 +434,8 @@ class RecommenderServer:
         except DeadlineExceededError as error:
             self._stats["deadline_exceeded"] += 1
             reply = wire.encode_error(error)
+        except asyncio.CancelledError:
+            raise  # shutdown: end the connection, do not answer and re-read
         except BaseException as error:
             self._stats["errors"] += 1
             reply = wire.encode_error(error)

@@ -20,8 +20,12 @@ the ``REPRO_FAULTS`` environment variable, which the forked workers
 inherit.
 """
 
+import asyncio
+import multiprocessing
+import os
 import threading
 import time
+import types
 import zipfile
 
 import numpy as np
@@ -32,7 +36,7 @@ from repro.reliability.errors import (
     DeadlineExceededError,
     ServiceOverloadedError,
 )
-from repro.serving import wire
+from repro.serving import wire, worker
 from repro.serving.artifact import ServingArtifact
 from repro.serving.client import ServingClient, run_closed_loop
 from repro.serving.query import Query, QueryResult
@@ -165,12 +169,21 @@ class TestWireCodec:
 class TestMmapLoading:
     def test_uncompressed_bundle_memory_maps(self, tmp_path):
         arrays = {"a": np.arange(12, dtype=np.float64).reshape(3, 4),
-                  "b": np.arange(5, dtype=np.int64)}
+                  "b": np.arange(5, dtype=np.int64),
+                  "odd_name": np.arange(7, dtype=np.float32),
+                  "flag": np.asarray(True),
+                  "longer.member_name": np.ones((5, 3))}
         path = save_arrays(tmp_path / "m.npz", arrays, digests=True,
                            compressed=False)
         loaded = load_arrays(path, mmap_mode="r")
+        with np.load(path, allow_pickle=False) as plain:  # any zip reader
+            for name, reference in arrays.items():
+                np.testing.assert_array_equal(plain[name], reference)
         for name, reference in arrays.items():
-            assert is_memory_mapped(loaded[name]), name
+            if reference.ndim:
+                assert is_memory_mapped(loaded[name]), name
+                # Raw members' data is 64-byte aligned in the file.
+                assert loaded[name].offset % 64 == 0, name
             np.testing.assert_array_equal(loaded[name], reference)
 
     def test_compressed_bundle_falls_back_to_eager(self, tmp_path):
@@ -405,3 +418,121 @@ class TestServerEndToEnd:
             RecommenderServer(artifact_path, n_workers=0)
         with pytest.raises(ValueError, match="at least one model"):
             RecommenderServer({})
+
+
+# --------------------------------------------------------------------------- #
+# worker BLAS pool
+# --------------------------------------------------------------------------- #
+class TestWorkerBlasPool:
+    def test_forked_worker_reports_its_pool_size(self, artifact_path):
+        inherited = worker.blas_threads()
+        if "OPENBLAS_NUM_THREADS" in os.environ or inherited is None:
+            expected = inherited  # the override (or no library) wins
+        else:
+            expected = 1
+        ctx = multiprocessing.get_context("fork")
+        parent_conn, child_conn = ctx.Pipe()
+        process = ctx.Process(
+            target=worker.worker_main,
+            args=(child_conn, {"default": (str(artifact_path), 1)}, 0, 1))
+        process.start()
+        child_conn.close()
+        try:
+            assert parent_conn.poll(60.0)
+            kind, meta, _ = wire.decode_frame(parent_conn.recv_bytes())
+            assert kind == "ready" and meta["blas_threads"] == expected
+            parent_conn.send_bytes(wire.encode_frame("ping", {}))
+            kind, meta, _ = wire.decode_frame(parent_conn.recv_bytes())
+            assert kind == "pong" and meta["blas_threads"] == expected
+            parent_conn.send_bytes(wire.encode_frame("shutdown", {}))
+            assert wire.decode_frame(parent_conn.recv_bytes())[0] == "ok"
+        finally:
+            process.join(timeout=10.0)
+            if process.is_alive():
+                process.kill()
+                process.join()
+        # Only the forked worker resized its pool.
+        assert worker.blas_threads() == inherited
+
+    @pytest.mark.parametrize("library", [None, types.SimpleNamespace()],
+                             ids=["no-library", "no-symbol"])
+    def test_unresolvable_pool_is_a_silent_no_op(self, monkeypatch, library):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setattr(worker, "_openblas", lambda: library)
+        assert worker.set_blas_threads(1) is False
+        assert worker.blas_threads() is None
+
+    def test_environment_override_wins(self, monkeypatch):
+        inherited = worker.blas_threads()
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert worker.set_blas_threads(1) is False
+        assert worker.blas_threads() == inherited
+
+
+# --------------------------------------------------------------------------- #
+# shutdown
+# --------------------------------------------------------------------------- #
+class TestShutdown:
+    """``stop()`` ends every connection handler quietly and promptly."""
+
+    @staticmethod
+    def _stop_quietly(server, capfd, caplog):
+        server.stop()
+        # The event loop ran to completion (no handler held it open).
+        assert not server._thread.is_alive()
+        err = capfd.readouterr().err
+        assert "Traceback" not in err and "CancelledError" not in err
+        assert not [record for record in caplog.records
+                    if record.exc_info or "CancelledError" in record.message]
+
+    def test_idle_connection(self, artifact_path, capfd, caplog):
+        server = RecommenderServer(artifact_path, n_workers=1).start()
+        client = ServingClient(server.address)
+        try:
+            client.ping()  # the handler now waits for the next frame
+            self._stop_quietly(server, capfd, caplog)
+        finally:
+            client.close()
+
+    def test_cancel_landing_while_the_handler_closes(
+            self, artifact_path, capfd, caplog, monkeypatch):
+        closing = threading.Event()
+
+        async def slow_wait_closed(writer):
+            closing.set()
+            await asyncio.sleep(30.0)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "wait_closed",
+                            slow_wait_closed)
+        server = RecommenderServer(artifact_path, n_workers=1).start()
+        with ServingClient(server.address) as client:
+            client.ping()
+        # The client hung up; its handler is parked in wait_closed().
+        assert closing.wait(10.0)
+        self._stop_quietly(server, capfd, caplog)
+
+    def test_request_in_flight(self, artifact_path, capfd, caplog,
+                               monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "serving.worker=delay:0.5")
+        server = RecommenderServer(artifact_path, n_workers=1).start()
+        outcome = []
+
+        def ask():
+            with ServingClient(server.address) as client:
+                try:
+                    outcome.append(client.query(Query(users=[0], k=3)))
+                except Exception as error:  # noqa: BLE001
+                    outcome.append(error)
+
+        thread = threading.Thread(target=ask)
+        thread.start()
+        for _ in range(400):  # wait until the request is with the worker
+            if server._in_flight >= 1:
+                break
+            time.sleep(0.005)
+        assert server._in_flight >= 1
+        self._stop_quietly(server, capfd, caplog)
+        thread.join()
+        # The cut-off request fails with the closed connection, not with a
+        # CancelledError reply.
+        assert len(outcome) == 1 and isinstance(outcome[0], ConnectionError)
