@@ -14,8 +14,9 @@ invariants" section of ``ROADMAP.md``.
     seedable and spawnable.  One stray global-state call breaks the
     bitwise serial-parity contract of the training runtime.
 ``DTYPE-DISCIPLINE``
-    Array constructors in the hot kernels (``core/fused.py``,
-    ``serving/scorers.py``, ``serving/kernel.py``) must pass an explicit
+    Array constructors in the hot kernels (``core/fused.py`` and the work
+    arrays it takes from ``utils/workspace.py``, ``serving/scorers.py``,
+    ``serving/kernel.py``, ``serving/retrieval.py``) must pass an explicit
     ``dtype=`` — the mechanical precondition for the planned float32
     kernel backend: a dtype-less allocation silently pins float64 and
     would desynchronise a mixed-precision hot path.
@@ -85,6 +86,8 @@ _HOT_MODULES = (
     "repro/serving/scorers.py",
     "repro/serving/kernel.py",
     "repro/serving/retrieval.py",
+    # Allocates the fused step's work arrays.
+    "repro/utils/workspace.py",
 )
 
 #: Modules that must stay free of pickle-capable deserialisation.

@@ -99,10 +99,15 @@ allocation in this module to an explicit dtype, the precondition for the
 planned float32 kernel backend.
 
 Forward recap for a batch of B triplets ``(u, v_p, v_q)`` with K facets of
-dimension D:
+dimension D.  Facets are held row-major, ``(rows, K, D)``: row r carries
+the K facet vectors of one gathered entity, so every projection is one 2-D
+GEMM and every per-facet reduction runs over contiguous memory.
 
 * facet projections (Eq. 1-2): ``U_k = u Φ_k``, ``V_k = v Ψ_k``, computed as
-  one ``(B, D) × (K, D, D) → (K, B, D)`` einsum per entity role;
+  one ``(rows, D) × (D, K·D)`` GEMM per entity role against the stacked
+  matrix ``[Φ_1 … Φ_K]`` (positives and negatives share Ψ, so the item side
+  is one ``((1+N)·B, D)`` block, slot-major: positives first, then one
+  block per negative column);
 * per-facet similarity: ``s_k = −‖U_k − V_k‖²`` (Eq. 3, MAR) or
   ``s_k = cos(U_k, V_k)`` (Eq. 13, MARS; ε-stabilised norms matching
   :func:`repro.autograd.functional.cosine_similarity`);
@@ -118,16 +123,29 @@ Backward, derived by hand and evaluated in reverse:
   ``∂L/∂w_{bk} = s^p_{kb}·∂L/∂g_p + s^q_{kb}·∂L/∂g_q``, then the softmax
   Jacobian ``∂L/∂Θ = w ⊙ (∂L/∂w − ⟨∂L/∂w, w⟩)``;
 * through the similarity: Euclidean ``∂s/∂U_k = −2(U_k − V_k)``; spherical
-  ``∂c/∂U_k = V_k/(n_U n_V) − c·U_k/n_U²``;
+  ``∂c/∂U_k = V_k/(n_U n_V) − c·U_k/n_U²`` — broadcast multiplies of
+  per-facet coefficients against the facet rows;
 * facet-separating gradients come from
-  :func:`repro.core.losses.facet_separating_loss_numpy`;
-* through the projections: ``∂L/∂u = Σ_k G_k Φ_kᵀ`` and ``∂L/∂Φ_k = uᵀ G_k``
-  where ``G_k`` accumulates every term's gradient wrt ``U_k`` — two einsums
-  per entity role.
+  :func:`repro.core.losses.facet_separating_loss_rows`, run directly on the
+  first 2B rows of the facet stack (users, then positives) with no copy;
+* through the projections: with ``G`` the ``(rows, K·D)`` facet gradient,
+  ``∂L/∂u = G [Φ_1 … Φ_K]ᵀ`` and ``∂L/∂[Φ_1 … Φ_K] = uᵀ G`` — two GEMMs
+  per entity role, the sum over K folded into the GEMM's inner dimension.
 
 Row gradients for duplicate users/items inside a batch are scatter-summed
 onto unique rows, so optimizers can apply sparse row updates without ever
 materialising full ``(n_users, D)`` gradient buffers.
+
+Step buffers: the step's large intermediates — both gathers, the facet
+stack and its gradient, the ``(1+N, B, K, D)`` pair work array (reused
+for the separation gradient) and the embedding-row gradients — are
+:func:`repro.utils.workspace.work_array` arrays.  Inside a
+:func:`~repro.utils.workspace.workspace_scope` (each ``TrainingLoop.run``
+on the serial executor, each shard sub-epoch on the sharded one) they are
+reused step after step on that thread, so a step neither allocates nor
+page-faults them; outside a scope they are allocated per call.  Results
+never alias them: everything a :class:`FusedStepResult` carries is freshly
+allocated, and a step's outputs are bitwise the same either way.
 """
 
 from __future__ import annotations
@@ -138,11 +156,12 @@ from typing import Union
 import numpy as np
 
 from repro.core.losses import (
-    facet_separating_loss_numpy,
+    facet_separating_loss_rows,
     pull_loss_numpy,
     push_loss_numpy,
 )
 from repro.core.similarity import softmax_numpy
+from repro.utils.workspace import work_array
 
 _EPS = 1e-12
 
@@ -153,7 +172,8 @@ class FusedStepResult:
 
     Embedding and facet-logit gradients are reported per *unique* row
     (duplicates inside the batch already scatter-summed); the projection
-    gradients are dense ``(K, D, D)`` stacks, which are tiny.
+    gradients are dense ``(K, D, D)`` stacks, which are tiny.  Every array
+    is freshly allocated — none aliases a step buffer.
     """
 
     loss: float
@@ -223,10 +243,6 @@ def scatter_rows(indices: np.ndarray, *grads: np.ndarray):
     return (rows, *(_segment_sum(inverse, grad, rows.size) for grad in grads))
 
 
-# Backwards-compatible alias (pre-kernel-layer name).
-_scatter_rows = scatter_rows
-
-
 def negatives_matrix(negatives: np.ndarray) -> np.ndarray:
     """Normalise a negative-index array to a ``(B, N)`` block.
 
@@ -271,6 +287,19 @@ def hinge_distance_push(pos_diff: np.ndarray, neg_diff: np.ndarray,
     return loss, grad_pos_diff, grad_neg_diff, -grad_pos_score
 
 
+def _stacked_projection(projections: np.ndarray) -> np.ndarray:
+    """``(K, D, D)`` stack Φ → the ``(D, K·D)`` GEMM operand ``[Φ_1 … Φ_K]``."""
+    n_facets, dim, out_dim = projections.shape
+    return projections.transpose(1, 0, 2).reshape(dim, n_facets * out_dim)
+
+
+def _unstacked_projection_grad(grad: np.ndarray, n_facets: int) -> np.ndarray:
+    """``(D, K·D)`` gradient of ``[Φ_1 … Φ_K]`` → the ``(K, D, D)`` stack."""
+    dim = grad.shape[0]
+    return np.ascontiguousarray(
+        grad.reshape(dim, n_facets, -1).transpose(1, 0, 2))
+
+
 def fused_forward_backward(
     user_table: np.ndarray, item_table: np.ndarray,
     user_projections: np.ndarray, item_projections: np.ndarray,
@@ -310,40 +339,48 @@ def fused_forward_backward(
     batch = users.shape[0]
     n_negatives = neg_matrix.shape[1]
     slots = 1 + n_negatives
+    n_facets, dim = user_projections.shape[0], user_projections.shape[2]
+    width = n_facets * dim
+    n_rows = (1 + slots) * batch
 
-    user_emb = user_table[users]                                     # (B, D)
-    # Positives and negatives share the Ψ projections, so the whole item
-    # side runs through one stacked ((1+N)·B, D) block per BLAS call, laid
-    # out slot-major: slot 0 holds the positives, slots 1..N one negative
-    # column each.
+    # Gathers straight into the step buffers.  mode="wrap" because the
+    # default "raise" stages through a temporary copy; ids are batcher
+    # output, and an out-of-range row still fails in the optimizer's
+    # row update.
+    user_emb = np.take(user_table, users, axis=0, mode="wrap",
+                       out=work_array("fused.user_emb", (batch, dim)))
     items_stacked = np.concatenate([positives, neg_matrix.T.reshape(-1)])
-    item_emb = item_table[items_stacked]                             # ((1+N)B, D)
+    item_emb = np.take(item_table, items_stacked, axis=0, mode="wrap",
+                       out=work_array("fused.item_emb", (slots * batch, dim)))
 
-    # (1, B, D) × (K, D, D) → (K, B, D): one BLAS matmul per facet (the
-    # broadcasted gufunc loop), much faster than the naive einsum kernel.
-    user_facets = np.matmul(user_emb[None, :, :], user_projections)
-    item_facets = np.matmul(item_emb[None, :, :], item_projections)  # (K, (1+N)B, D)
+    # One facet stack for both roles: rows [0, B) are the users' facets,
+    # rows [B, 2B) the positives', then one B-row block per negative column.
+    user_stack = _stacked_projection(user_projections)               # (D, K·D)
+    item_stack = _stacked_projection(item_projections)
+    facets = work_array("fused.facets", (n_rows, n_facets, dim))
+    flat_facets = facets.reshape(n_rows, width)
+    np.matmul(user_emb, user_stack, out=flat_facets[:batch])
+    np.matmul(item_emb, item_stack, out=flat_facets[batch:])
+    user_facets = facets[:batch]                                     # (B, K, D)
+    item_view = facets[batch:].reshape(slots, batch, n_facets, dim)  # (1+N, B, K, D)
 
     weights = softmax_numpy(facet_logits[users], axis=-1)            # (B, K)
 
-    # Per-facet similarities, with every item slot riding through each op as
-    # one (K, 1+N, B) stack (t = 0 is the positive slot, t ≥ 1 the
-    # negatives).  All (·, D) reductions go through contraction einsums, so
-    # no (K, 1+N, B, D) products materialise on the spherical path.
-    n_facets = user_projections.shape[0]
-    dim = user_projections.shape[2]
-    item_view = item_facets.reshape(n_facets, slots, batch, dim)
-    dots = np.einsum("kbd,ktbd->ktb", user_facets, item_view)
+    # Per-facet similarities, every item slot riding through each op as one
+    # (1+N, B, K) stack (t = 0 is the positive slot, t ≥ 1 the negatives).
     if spherical:
-        user_sq = np.einsum("kbd,kbd->kb", user_facets, user_facets) + _EPS
-        item_sq = np.einsum("ktbd,ktbd->ktb", item_view, item_view) + _EPS
-        inv_norms = 1.0 / np.sqrt(user_sq[:, None, :] * item_sq)      # (K, 1+N, B)
-        sims = dots * inv_norms
+        squared = np.einsum("rkd,rkd->rk", facets, facets)           # (rows, K)
+        squared += _EPS
+        user_sq = squared[:batch]                                    # (B, K)
+        item_sq = squared[batch:].reshape(slots, batch, n_facets)    # (1+N, B, K)
+        inv_norms = 1.0 / np.sqrt(user_sq * item_sq)
+        sims = np.einsum("bkd,tbkd->tbk", user_facets, item_view) * inv_norms
     else:
-        diff = user_facets[:, None] - item_view                       # (K, 1+N, B, D)
-        sims = -np.einsum("ktbd,ktbd->ktb", diff, diff)
+        diff = np.subtract(user_facets, item_view, out=work_array(
+            "fused.pair_work", (slots, batch, n_facets, dim)))       # (1+N, B, K, D)
+        sims = -np.einsum("tbkd,tbkd->tbk", diff, diff)
 
-    scores = np.einsum("ktb,bk->tb", sims, weights)                   # (1+N, B)
+    scores = np.einsum("tbk,bk->tb", sims, weights)                   # (1+N, B)
     pos_scores = scores[0]
 
     # ---------------------------------------------------------------- loss
@@ -361,56 +398,68 @@ def fused_forward_backward(
         grad_pos_scores = grad_pos_scores + lambda_pull * pull_grad
 
     # ------------------------------------------------- backward: similarity
-    # ∂L/∂s_{ktb} = w_{bk} · ∂L/∂g_{tb} for every similarity slot at once.
+    # ∂L/∂s_{tbk} = w_{bk} · ∂L/∂g_{tb} for every similarity slot at once.
     grad_scores = np.concatenate(
         [grad_pos_scores[None], grad_neg_slots])                      # (1+N, B)
-    grad_sims = weights.T[:, None, :] * grad_scores[None]             # (K, 1+N, B)
+    grad_sims = grad_scores[..., None] * weights                      # (1+N, B, K)
 
+    grads = work_array("fused.facet_grad", (n_rows, n_facets, dim))
+    grad_user_facets = grads[:batch]
+    grad_item_view = grads[batch:].reshape(slots, batch, n_facets, dim)
     if spherical:
-        # ∂c/∂u = v/(‖u‖‖v‖) − c·u/‖u‖²; the u-side terms of every slot
-        # are merged into one contraction over t plus a self term.
-        coef_cross = grad_sims * inv_norms                            # (K, 1+N, B)
-        coef_user = -np.einsum("ktb,ktb->kb", grad_sims, sims) / user_sq
-        grad_user_facets = (np.einsum("ktb,ktbd->kbd", coef_cross, item_view)
-                            + coef_user[..., None] * user_facets)     # (K, B, D)
-        grad_item_view = (np.einsum("ktb,kbd->ktbd", coef_cross, user_facets)
-                          - (grad_sims * sims / item_sq)[..., None] * item_view)
+        # ∂c/∂u = v/(‖u‖‖v‖) − c·u/‖u‖², ∂c/∂v = u/(‖u‖‖v‖) − c·v/‖v‖²:
+        # per-facet coefficients broadcast against the facet rows.
+        coef_cross = (grad_sims * inv_norms)[..., None]               # (1+N, B, K, 1)
+        coef_self = grad_sims * sims
+        np.multiply((-coef_self.sum(axis=0) / user_sq)[..., None],
+                    user_facets, out=grad_user_facets)
+        pair_work = np.multiply(coef_cross, item_view, out=work_array(
+            "fused.pair_work", (slots, batch, n_facets, dim)))
+        for slot in pair_work:
+            grad_user_facets += slot
+        np.multiply((coef_self / item_sq)[..., None], item_view, out=pair_work)
+        np.multiply(coef_cross, user_facets, out=grad_item_view)
+        grad_item_view -= pair_work
     else:
         # ∂(−‖u−v‖²)/∂u = −2(u−v), ∂/∂v = +2(u−v).
-        grad_item_view = (2.0 * grad_sims)[..., None] * diff          # (K, 1+N, B, D)
-        grad_user_facets = -grad_item_view.sum(axis=1)
-    grad_item_facets = grad_item_view.reshape(n_facets, slots * batch, dim)
+        np.multiply((2.0 * grad_sims)[..., None], diff, out=grad_item_view)
+        np.sum(grad_item_view, axis=0, out=grad_user_facets)
+        np.negative(grad_user_facets, out=grad_user_facets)
 
     # ------------------------------------------------ backward: Θ (softmax)
-    grad_weights = np.einsum("ktb,tb->bk", sims, grad_scores)         # (B, K)
+    grad_weights = np.einsum("tbk,tb->bk", sims, grad_scores)         # (B, K)
     grad_logits = weights * (
         grad_weights - np.sum(grad_weights * weights, axis=-1, keepdims=True)
     )
 
     # -------------------------------------- backward: facet separation term
     if lambda_facet and n_facets >= 2:
-        # sep(U) + sep(V_p) in a single pass: the two stacks ride through one
-        # (K, 2B, D) call whose batch mean divides by 2B instead of B, hence
-        # the factor of two on the way out.
-        sep_stack = np.concatenate([user_facets, item_facets[:, :batch]],
-                                   axis=1)
-        sep_value, sep_grad = facet_separating_loss_numpy(
-            sep_stack, alpha=alpha, spherical=spherical)
+        # sep(U) + sep(V_p) in a single pass over the stack's first 2B rows,
+        # whose mean divides by 2B instead of B, hence the factor of two.
+        # The pair work array is dead by now and holds at least 2B rows.
+        sep_grad = work_array("fused.pair_work", (2 * batch, n_facets, dim))
+        sep_value, _ = facet_separating_loss_rows(
+            facets[:2 * batch], alpha=alpha, spherical=spherical, out=sep_grad)
         loss += (2.0 * lambda_facet) * sep_value
-        grad_user_facets += (2.0 * lambda_facet) * sep_grad[:, :batch]
-        grad_item_facets[:, :batch] += (2.0 * lambda_facet) * sep_grad[:, batch:]
+        sep_grad *= 2.0 * lambda_facet
+        grads[:2 * batch] += sep_grad
 
     # ------------------------------------------------ backward: projections
-    # U_k = u Φ_k  ⇒  ∂L/∂u = Σ_k G_k Φ_kᵀ, ∂L/∂Φ_k = uᵀ G_k — again two
-    # broadcasted BLAS matmuls per entity role, with the item side stacked.
-    grad_user_emb = np.matmul(grad_user_facets,
-                              user_projections.swapaxes(1, 2)).sum(axis=0)
-    grad_item_emb = np.matmul(grad_item_facets,
-                              item_projections.swapaxes(1, 2)).sum(axis=0)
-    user_projection_grad = np.matmul(user_emb.T[None, :, :], grad_user_facets)
-    item_projection_grad = np.matmul(item_emb.T[None, :, :], grad_item_facets)
+    # U = u [Φ_1 … Φ_K]  ⇒  ∂L/∂u = G [Φ_1 … Φ_K]ᵀ, ∂L/∂[Φ_1 … Φ_K] = uᵀ G.
+    flat_grads = grads.reshape(n_rows, width)
+    grad_user_emb = np.matmul(flat_grads[:batch], user_stack.T,
+                              out=work_array("fused.user_emb_grad", (batch, dim)))
+    grad_item_emb = np.matmul(flat_grads[batch:], item_stack.T,
+                              out=work_array("fused.item_emb_grad",
+                                             (slots * batch, dim)))
+    user_projection_grad = _unstacked_projection_grad(
+        np.matmul(user_emb.T, flat_grads[:batch]), n_facets)
+    item_projection_grad = _unstacked_projection_grad(
+        np.matmul(item_emb.T, flat_grads[batch:]), n_facets)
 
     # ------------------------------------------- scatter onto unique rows
+    # scatter_rows returns fresh arrays, so the result never aliases a
+    # step buffer.
     user_rows, user_grad, logit_grad = scatter_rows(
         users, grad_user_emb, grad_logits)
     item_rows, item_grad = scatter_rows(items_stacked, grad_item_emb)

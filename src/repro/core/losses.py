@@ -20,7 +20,7 @@ by floating-point rounding.
 
 from __future__ import annotations
 
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -250,51 +250,71 @@ def facet_separating_loss_numpy(stacked: np.ndarray, alpha: float = 0.1,
                                 ) -> Tuple[float, np.ndarray]:
     """:func:`facet_separating_loss` with its gradient, on a ``(K, B, D)`` stack.
 
-    Works on the all-pairs Gram tensor ``G_{kj} = x_k · x_j`` instead of
-    gathered facet pairs, so both the value and the gradient come out of two
-    ``K²·B·D`` contractions plus cheap ``(K, K, B)`` elementwise algebra.
+    The facet-major adapter of :func:`facet_separating_loss_rows` (same
+    value and gradient, facets on the leading axis).
+    """
+    value, grad = facet_separating_loss_rows(
+        np.ascontiguousarray(stacked.transpose(1, 0, 2)), alpha=alpha,
+        spherical=spherical)
+    return value, grad.transpose(1, 0, 2)
 
-    Derivation (per facet pair ``(k, j)``, per batch row, mean over the batch
-    of size B):
+
+def facet_separating_loss_rows(stacked: np.ndarray, alpha: float = 0.1,
+                               spherical: bool = False,
+                               out: Optional[np.ndarray] = None
+                               ) -> Tuple[float, np.ndarray]:
+    """:func:`facet_separating_loss` with its gradient, on an ``(R, K, D)`` stack.
+
+    Row-major: row ``r`` holds the K facet vectors of one entity.  Works on
+    the per-row Gram ``G_{kj} = x_k · x_j``, one batched ``(R, K, D) @ (R,
+    D, K)`` matmul, and returns the gradient as one batched ``(R, K, K) @
+    (R, K, D)`` matmul, written into ``out`` when given.
+
+    Derivation (per facet pair ``(k, j)``, per row, mean over the R rows):
 
     * Euclidean — with ``d = ‖x_k − x_j‖² = G_kk + G_jj − 2 G_kj`` the
       pairwise term is ``softplus(−α d)/α``, so ``∂/∂d = −σ(−α d)`` and
       ``∂d/∂x_k = 2 (x_k − x_j)``; summing over partners j with the
-      symmetric, zero-diagonal coefficients ``C_kj = −σ(−α d_kj)/B`` gives
+      symmetric, zero-diagonal coefficients ``C_kj = −σ(−α d_kj)/R`` gives
       ``∂L/∂x_k = 2 (Σ_j C_kj) x_k − 2 Σ_j C_kj x_j``;
     * spherical — with ``c = cos(x_k, x_j) = G_kj/(n_k n_j)`` (ε-stabilised
       norms, matching :func:`F.cosine_similarity`) the term is
       ``softplus(α c)/α``, so ``∂/∂c = σ(α c)`` and
       ``∂c/∂x_k = x_j/(n_k n_j) − c·x_k/n_k²``, accumulated the same way.
+
+    Either way ``∂L/∂x_k = Σ_j A_kj x_j`` for one ``(K, K)`` matrix A per
+    row: the partner terms off the diagonal, the self term on it.
     """
-    n_facets, batch = stacked.shape[0], stacked.shape[1]
-    grad = np.zeros_like(stacked)
+    n_rows, n_facets = stacked.shape[0], stacked.shape[1]
+    grad = np.empty_like(stacked) if out is None else out
     if n_facets < 2:
+        grad[...] = 0.0
         return 0.0, grad
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
 
-    gram = np.einsum("kbd,jbd->kjb", stacked, stacked)              # (K, K, B)
+    gram = np.matmul(stacked, stacked.transpose(0, 2, 1))          # (R, K, K)
     diagonal = np.arange(n_facets)
-    squared = gram[diagonal, diagonal]                              # (K, B)
+    squared = gram[:, diagonal, diagonal]                           # (R, K)
     pair_i, pair_j = np.triu_indices(n_facets, k=1)
     if spherical:
-        squared = squared + _EPS
-        inv_norms = 1.0 / np.sqrt(squared[:, None, :] * squared[None, :, :])
-        closeness = gram * inv_norms                                # (K, K, B)
+        squared += _EPS
+        inv_norms = 1.0 / np.sqrt(squared[:, :, None] * squared[:, None, :])
+        closeness = gram * inv_norms                                # (R, K, K)
         loss = float(np.sum(_softplus_numpy(
-            alpha * closeness[pair_i, pair_j])) / (alpha * batch))
-        coef = _sigmoid_numpy(alpha * closeness) / batch
-        coef[diagonal, diagonal] = 0.0
-        grad = np.einsum("kjb,jbd->kbd", coef * inv_norms, stacked)
-        grad -= (np.sum(coef * closeness, axis=1)
-                 / squared)[..., None] * stacked
+            alpha * closeness[:, pair_i, pair_j])) / (alpha * n_rows))
+        coef = _sigmoid_numpy(alpha * closeness) / n_rows
+        coef[:, diagonal, diagonal] = 0.0
+        self_term = -np.sum(coef * closeness, axis=2) / squared
+        coef *= inv_norms
     else:
-        distances = squared[:, None, :] + squared[None, :, :] - 2.0 * gram
+        distances = squared[:, :, None] + squared[:, None, :] - 2.0 * gram
         loss = float(np.sum(_softplus_numpy(
-            -alpha * distances[pair_i, pair_j])) / (alpha * batch))
-        coef = -_sigmoid_numpy(-alpha * distances) / batch
-        coef[diagonal, diagonal] = 0.0
-        grad = 2.0 * (np.sum(coef, axis=1)[..., None] * stacked
-                      - np.einsum("kjb,jbd->kbd", coef, stacked))
+            -alpha * distances[:, pair_i, pair_j])) / (alpha * n_rows))
+        coef = -_sigmoid_numpy(-alpha * distances) / n_rows
+        coef[:, diagonal, diagonal] = 0.0
+        self_term = 2.0 * np.sum(coef, axis=2)
+        coef *= -2.0
+    coef[:, diagonal, diagonal] = self_term
+    np.matmul(coef, stacked, out=grad)
     return loss, grad

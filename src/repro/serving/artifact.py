@@ -587,9 +587,14 @@ class ServingArtifact:
 
     @property
     def memory_mapped(self) -> bool:
-        """Whether every scoring tensor reads from a shared file mapping."""
-        return bool(self.tensors) and all(
-            is_memory_mapped(tensor) for tensor in self.tensors.values())
+        """Whether every scoring tensor reads from a shared file mapping.
+
+        0-d members (flags such as ``spherical``) are loaded into memory
+        and can never be mapped, so only tensors with ``ndim >= 1`` count.
+        """
+        arrays = [tensor for tensor in self.tensors.values() if tensor.ndim]
+        return bool(arrays) and all(is_memory_mapped(tensor)
+                                    for tensor in arrays)
 
     def __repr__(self) -> str:
         seen = "with seen CSR" if self.has_seen else "no seen CSR"

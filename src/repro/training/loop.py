@@ -90,6 +90,7 @@ from repro.utils.io import pack_scalar, unpack_scalar
 from repro.utils.logging import get_logger, scoped_info
 from repro.utils.rng import RandomState, spawn_generators
 from repro.utils.validation import check_positive_int
+from repro.utils.workspace import workspace_scope
 
 #: Executor names accepted by :class:`TrainingLoop` (and the ``executor``
 #: knobs on :class:`~repro.core.config.MARConfig` and
@@ -544,7 +545,9 @@ class TrainingLoop:
         target = self.epoch_ + n_epochs
         new_reports: List[EpochReport] = []
         scope = scoped_info(self._logger) if self.verbose else nullcontext()
-        with scope:
+        # Step buffers live for this run on this thread (the serial
+        # executor's steps run here); shard threads open their own.
+        with scope, workspace_scope():
             for _ in range(n_epochs):
                 report = self._run_epoch(self.epoch_)
                 self.epoch_ += 1
@@ -593,14 +596,19 @@ class TrainingLoop:
         threads are reused, so a thread that ran shard 0 last epoch may run
         shard 2 this epoch, and the auditor must attribute writes to the
         *shard*, not the thread.
+
+        The steps run inside a :func:`~repro.utils.workspace.workspace_scope`:
+        on a shard thread that gives the sub-epoch its own step buffers; on
+        the calling thread (serial executor) it reuses the run's.
         """
         if self._auditor is not None:
             self._auditor.bind_shard(shard)
         total, count = 0.0, 0
-        for batch in batcher.epoch():
-            _fire("training.step")
-            total += self.model.train_step(batch, self._optimizer)
-            count += 1
+        with workspace_scope():
+            for batch in batcher.epoch():
+                _fire("training.step")
+                total += self.model.train_step(batch, self._optimizer)
+                count += 1
         return total, count
 
     # ------------------------------------------------------------------ #

@@ -11,19 +11,30 @@ for the reverse-mode engine:
   loss curves and final parameters up to float tolerance;
 * speed — a fused MARS step is at least 3x faster than an autograd step at
   benchmark-preset shapes.
+
+A fourth group pins the step-buffer contract: steps that reuse the
+per-thread work arrays of :mod:`repro.utils.workspace` are bitwise equal to
+allocating ones, never hand back aliased memory, stay thread-local, do not
+outlive ``fit``, and keep the per-step transient allocation small.
 """
 
+import gc
+import threading
 import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.core import MAR, MARS, losses
+from repro.core import MAR, MARS, fused, losses
+from repro.core import _multifacet
 from repro.core._multifacet import _MultiFacetNetwork
-from repro.core.fused import fused_forward_backward
+from repro.core.fused import FusedStepResult, fused_forward_backward
 from repro.core.spherical import riemannian_update_rows
 from repro.data import MultiFacetSyntheticGenerator, SyntheticConfig
 from repro.data.batching import TripletBatch
+from repro.utils.workspace import current_workspace, workspace_scope
 
 
 def _make_model(model_cls, n_users, n_items, seed, **config_overrides):
@@ -288,6 +299,187 @@ class TestRowWiseOptimizerHelpers:
         updated = riemannian_update_rows(points, rng.normal(size=(6, 4)), lr=2.0)
         np.testing.assert_allclose(np.linalg.norm(updated, axis=1), 1.0,
                                    atol=1e-12)
+
+
+def _snapshot(step: FusedStepResult) -> dict:
+    return {name: np.array(value, copy=True)
+            for name, value in vars(step).items()}
+
+
+def _assert_same_step(step: FusedStepResult, reference) -> None:
+    """Bitwise equality of a step against a step or a :func:`_snapshot`."""
+    expected = reference if isinstance(reference, dict) else vars(reference)
+    for name, value in vars(step).items():
+        np.testing.assert_array_equal(value, expected[name], err_msg=name)
+
+
+class TestStepBuffers:
+    N_USERS, N_ITEMS = 60, 80
+
+    def _steps(self, model_cls, sizes, n_negatives=1, seed=0):
+        """One step closure per batch size, all over one fixed model."""
+        model = _make_model(model_cls, self.N_USERS, self.N_ITEMS, seed,
+                            n_facets=4, embedding_dim=8, lambda_pull=0.1,
+                            lambda_facet=0.01)
+        rng = np.random.default_rng(seed + 1)
+        network, config = model.network, model.config
+        steps = []
+        for size in sizes:
+            users = rng.integers(0, self.N_USERS, size)
+            positives = rng.integers(0, self.N_ITEMS, size)
+            negatives = rng.integers(0, self.N_ITEMS, (size, n_negatives))
+
+            def step(users=users, positives=positives, negatives=negatives):
+                return fused_forward_backward(
+                    network.user_embeddings.weight.data,
+                    network.item_embeddings.weight.data,
+                    network.user_projections.data,
+                    network.item_projections.data,
+                    network.facet_logits.data,
+                    users, positives, negatives, model.margins_[users],
+                    lambda_pull=config.lambda_pull,
+                    lambda_facet=config.lambda_facet, alpha=config.alpha,
+                    spherical=model._spherical(), reduction="hardest")
+            steps.append(step)
+        return steps
+
+    @pytest.mark.parametrize("model_cls", [MAR, MARS])
+    @pytest.mark.parametrize("n_negatives", [1, 3])
+    def test_buffered_step_bitwise_equals_unbuffered(self, model_cls,
+                                                     n_negatives):
+        big, small = self._steps(model_cls, (40, 24), n_negatives)
+        references = [big(), small()]
+        with workspace_scope() as workspace:
+            # Dirty, oversized buffers first: the small batch must reuse
+            # a prefix of them and still match.
+            _assert_same_step(big(), references[0])
+            _assert_same_step(small(), references[1])
+            _assert_same_step(big(), references[0])
+            assert workspace.nbytes > 0
+
+    def test_results_never_alias_buffers(self):
+        first, second = self._steps(MARS, (32, 32))
+        with workspace_scope():
+            step = first()
+            kept = _snapshot(step)
+            second()
+            second()
+        _assert_same_step(step, kept)
+
+    def test_concurrent_threads_match_their_serial_results(self):
+        per_thread = [self._steps(MARS, (48, 20, 48, 20), seed=0),
+                      self._steps(MAR, (32, 40, 32, 40), seed=1)]
+        serial = [[step() for step in steps] for steps in per_thread]
+        results = [None, None]
+        barrier = threading.Barrier(2)
+
+        def run(index):
+            with workspace_scope():
+                barrier.wait()
+                results[index] = [step() for _ in range(5)
+                                  for step in per_thread[index]]
+
+        threads = [threading.Thread(target=run, args=(index,))
+                   for index in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for got, expected in zip(results, serial):
+            assert len(got) == 5 * len(expected)
+            for position, step in enumerate(got):
+                _assert_same_step(step, expected[position % len(expected)])
+
+    @pytest.mark.parametrize("executor,n_shards", [("serial", 1),
+                                                   ("sharded", 2)])
+    def test_no_buffer_outlives_fit(self, monkeypatch, executor, n_shards):
+        seen = []
+        kernel = _multifacet.fused_forward_backward
+
+        def spy(*args, **kwargs):
+            workspace = current_workspace()
+            assert workspace is not None, "fused step ran outside a scope"
+            seen.append((threading.get_ident(), weakref.ref(workspace)))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(_multifacet, "fused_forward_backward", spy)
+        config = SyntheticConfig(n_users=50, n_items=70, n_facets=3,
+                                 interactions_per_user=10.0)
+        dataset = MultiFacetSyntheticGenerator(
+            config, random_state=0).generate_dataset()
+        model = MARS(n_facets=3, embedding_dim=8, n_epochs=2, batch_size=64,
+                     executor=executor, n_shards=n_shards,
+                     random_state=0).fit(dataset)
+        assert current_workspace() is None
+        # CPython hands out one weakref object per live referent, so the
+        # (kept-alive) refs identify workspaces even after they are freed.
+        owners = {}
+        for thread, ref in seen:
+            owners.setdefault(id(ref), set()).add(thread)
+        if executor == "serial":
+            # One workspace for the whole run, on the calling thread.
+            assert list(owners.values()) == [{threading.get_ident()}]
+        else:
+            # One per shard sub-epoch, never shared between threads.
+            assert len(owners) == 2 * n_shards
+            assert all(len(threads) == 1 for threads in owners.values())
+        model.fit_more(1)
+        gc.collect()
+        assert seen and all(ref() is None for _, ref in seen)
+
+    def test_transient_peak_stays_small(self):
+        """Deterministic allocation gate at the ``train-mars`` step shape.
+
+        Without step buffers a step allocates ~7 MB of intermediates; with
+        them, what remains is the small per-facet coefficient arrays, the
+        scatter and the returned gradients.
+        """
+        n_users, n_items, batch = 4000, 3000, 512
+        model = _make_model(MARS, n_users, n_items, 0, n_facets=4,
+                            embedding_dim=32)
+        network, config = model.network, model.config
+        rng = np.random.default_rng(0)
+        peaks = []
+        with workspace_scope():
+            for _ in range(6):
+                users = rng.integers(0, n_users, batch)
+                positives = rng.integers(0, n_items, batch)
+                negatives = rng.integers(0, n_items, batch)
+                tracemalloc.start()
+                before, _ = tracemalloc.get_traced_memory()
+                fused_forward_backward(
+                    network.user_embeddings.weight.data,
+                    network.item_embeddings.weight.data,
+                    network.user_projections.data,
+                    network.item_projections.data,
+                    network.facet_logits.data,
+                    users, positives, negatives, model.margins_[users],
+                    lambda_pull=config.lambda_pull,
+                    lambda_facet=config.lambda_facet, alpha=config.alpha,
+                    spherical=True)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+                tracemalloc.stop()
+        assert peaks[0] > 4e6, "the first step fills the buffers"
+        assert np.median(peaks[1:]) < 2e6, peaks
+
+
+class TestTraceContract:
+    def test_kernel_is_reachable_where_the_trace_hooks_it(self):
+        assert _multifacet.fused_forward_backward is fused.fused_forward_backward
+
+    def test_one_step_scatters_through_the_module_global(self, monkeypatch):
+        calls = []
+        scatter = fused.scatter_rows
+
+        def counting(*args):
+            calls.append(args[0].size)
+            return scatter(*args)
+
+        monkeypatch.setattr(fused, "scatter_rows", counting)
+        model = _make_model(MARS, 30, 40, 0, n_facets=3, embedding_dim=8)
+        batch = _random_batch(np.random.default_rng(0), 30, 40)
+        model._train_step(batch, model._make_optimizer(model.network))
+        assert calls == [batch.users.size, 2 * batch.users.size]
 
 
 class TestFusedSpeedup:

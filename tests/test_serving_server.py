@@ -31,6 +31,8 @@ import zipfile
 import numpy as np
 import pytest
 
+from repro.core import MARS
+from repro.data import MultiFacetSyntheticGenerator, SyntheticConfig
 from repro.reliability.errors import (
     ArtifactIntegrityError,
     DeadlineExceededError,
@@ -71,6 +73,46 @@ def artifact():
 def artifact_path(artifact, tmp_path_factory):
     path = tmp_path_factory.mktemp("serving") / "model.artifact.npz"
     return artifact.save(path, compressed=False)
+
+
+@pytest.fixture(scope="module")
+def mars_artifact_path(tmp_path_factory):
+    """A fitted MARS model's raw bundle: mapped facet tables beside the
+    0-d ``spherical`` flag, which always loads eagerly."""
+    config = SyntheticConfig(n_users=N_USERS, n_items=N_ITEMS,
+                             interactions_per_user=6.0)
+    dataset = MultiFacetSyntheticGenerator(config, random_state=0) \
+        .generate_dataset()
+    model = MARS(n_facets=2, embedding_dim=DIM, n_epochs=1, batch_size=64,
+                 random_state=0).fit(dataset)
+    path = tmp_path_factory.mktemp("mars") / "mars.artifact.npz"
+    return model.export_serving("mars").save(path, compressed=False)
+
+
+def _forked_worker_status(artifact_path):
+    """Fork one worker over ``artifact_path``; its ``ready`` and ``pong`` metas."""
+    ctx = multiprocessing.get_context("fork")
+    parent_conn, child_conn = ctx.Pipe()
+    process = ctx.Process(
+        target=worker.worker_main,
+        args=(child_conn, {"default": (str(artifact_path), 1)}, 0, 1))
+    process.start()
+    child_conn.close()
+    try:
+        assert parent_conn.poll(60.0)
+        kind, ready, _ = wire.decode_frame(parent_conn.recv_bytes())
+        assert kind == "ready"
+        parent_conn.send_bytes(wire.encode_frame("ping", {}))
+        kind, pong, _ = wire.decode_frame(parent_conn.recv_bytes())
+        assert kind == "pong"
+        parent_conn.send_bytes(wire.encode_frame("shutdown", {}))
+        assert wire.decode_frame(parent_conn.recv_bytes())[0] == "ok"
+    finally:
+        process.join(timeout=10.0)
+        if process.is_alive():
+            process.kill()
+            process.join()
+    return ready, pong
 
 
 # --------------------------------------------------------------------------- #
@@ -236,6 +278,18 @@ class TestMmapLoading:
             got = mapped.query(query)
             np.testing.assert_array_equal(got.items, expected.items)
             np.testing.assert_array_equal(got.scores, expected.scores)
+
+    def test_mapped_mars_artifact_reports_mapped(self, mars_artifact_path):
+        mapped = ServingArtifact.load(mars_artifact_path, mmap_mode="r")
+        assert mapped.tensors["spherical"].ndim == 0
+        assert not is_memory_mapped(mapped.tensors["spherical"])
+        assert mapped.memory_mapped
+        assert not ServingArtifact.load(mars_artifact_path).memory_mapped
+
+    def test_worker_over_mars_bundle_reports_mapped(self, mars_artifact_path):
+        ready, pong = _forked_worker_status(mars_artifact_path)
+        assert ready["mapped"] is True
+        assert pong["mapped"] is True
 
     def test_mapped_tensors_are_read_only(self, artifact_path):
         mapped = ServingArtifact.load(artifact_path, mmap_mode="r")
@@ -430,27 +484,9 @@ class TestWorkerBlasPool:
             expected = inherited  # the override (or no library) wins
         else:
             expected = 1
-        ctx = multiprocessing.get_context("fork")
-        parent_conn, child_conn = ctx.Pipe()
-        process = ctx.Process(
-            target=worker.worker_main,
-            args=(child_conn, {"default": (str(artifact_path), 1)}, 0, 1))
-        process.start()
-        child_conn.close()
-        try:
-            assert parent_conn.poll(60.0)
-            kind, meta, _ = wire.decode_frame(parent_conn.recv_bytes())
-            assert kind == "ready" and meta["blas_threads"] == expected
-            parent_conn.send_bytes(wire.encode_frame("ping", {}))
-            kind, meta, _ = wire.decode_frame(parent_conn.recv_bytes())
-            assert kind == "pong" and meta["blas_threads"] == expected
-            parent_conn.send_bytes(wire.encode_frame("shutdown", {}))
-            assert wire.decode_frame(parent_conn.recv_bytes())[0] == "ok"
-        finally:
-            process.join(timeout=10.0)
-            if process.is_alive():
-                process.kill()
-                process.join()
+        ready, pong = _forked_worker_status(artifact_path)
+        assert ready["blas_threads"] == expected
+        assert pong["blas_threads"] == expected
         # Only the forked worker resized its pool.
         assert worker.blas_threads() == inherited
 
